@@ -3,7 +3,7 @@
 // (DESIGN.md §16).
 //
 // This is the single implementation both sides of the distributed layer
-// share: mgrts_workerd runs it behind the wire, and the coordinator runs
+// share: serve::Server runs it behind the wire, and the coordinator runs
 // it in-process for local fallback (a shard no worker could complete) and
 // for the workerless single-box path the determinism tests compare
 // against.  Determinism by construction: the instance comes from

@@ -102,6 +102,10 @@ Message Service::handle_message(const Message& request,
       health.set("latency-p50-us", lat.p50_us);
       health.set("latency-p99-us", lat.p99_us);
       health.set("latency-samples", lat.samples);
+      health.set("shards", c.shards);
+      health.set("rows", c.rows);
+      health.set("aborted", c.aborted);
+      health.set("refused", c.refused);
       health.body = c.first_error;
       return health;
     }
@@ -251,8 +255,7 @@ Message Service::handle_solve(const Message& request,
   return ok;
 }
 
-Message Service::make_error(const std::string& error_kind,
-                            const std::string& detail) {
+Message make_error(const std::string& error_kind, const std::string& detail) {
   Message error;
   error.kind = "error";
   error.set("error-kind", error_kind);
@@ -265,6 +268,16 @@ Message Service::make_error(const std::string& error_kind,
                                 : core::FailureCause::kNone));
   error.body = detail;
   return error;
+}
+
+void Service::count_shard(ShardEvent event) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  switch (event) {
+    case ShardEvent::kAccepted: ++counters_.shards; break;
+    case ShardEvent::kRow: ++counters_.rows; break;
+    case ShardEvent::kAborted: ++counters_.aborted; break;
+    case ShardEvent::kRefused: ++counters_.refused; break;
+  }
 }
 
 ServiceCounters Service::counters() const {

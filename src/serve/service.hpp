@@ -67,8 +67,16 @@ struct ServiceCounters {
   std::int64_t protocol_errors = 0;    ///< "error": malformed wire payload
   std::int64_t internal_errors = 0;    ///< "error": contained handler exception
   std::int64_t cache_hits = 0;      ///< solve responses answered from cache
+  std::int64_t shards = 0;          ///< shard requests accepted (Server)
+  std::int64_t rows = 0;            ///< shard rows streamed back
+  std::int64_t aborted = 0;         ///< shards dropped mid-stream (peer loss)
+  std::int64_t refused = 0;         ///< shard requests answered with "error"
   std::string first_error;          ///< first contained failure, human-readable
 };
+
+/// Outcomes of the socket server's shard path.  Shards bypass handle(),
+/// so the server books them here and "health" serves one counter block.
+enum class ShardEvent { kAccepted, kRow, kAborted, kRefused };
 
 /// Latency percentiles over the recent-request window, microseconds.
 struct LatencyStats {
@@ -107,6 +115,9 @@ class Service {
     return shutdown_.load(std::memory_order_relaxed);
   }
 
+  /// Books one shard-path outcome.  Thread-safe.
+  void count_shard(ShardEvent event);
+
   [[nodiscard]] ServiceCounters counters() const;
   [[nodiscard]] CacheStats cache_stats() const { return cache_.stats(); }
   [[nodiscard]] LatencyStats latency() const;
@@ -117,7 +128,6 @@ class Service {
 
  private:
   Message handle_solve(const Message& request, const RequestContext& context);
-  Message make_error(const std::string& error_kind, const std::string& detail);
   void note_latency(std::int64_t micros);
 
   ServiceOptions options_;
@@ -130,6 +140,11 @@ class Service {
   std::size_t latency_next_ = 0;
   std::int64_t latency_total_ = 0;
 };
+
+/// A tagged "error" response (`error-kind` parse / validation / protocol /
+/// internal; only "internal" carries FailureCause::kInternalError).
+[[nodiscard]] Message make_error(const std::string& error_kind,
+                                 const std::string& detail);
 
 /// Inverse of core::to_string(Method); nullopt for unknown text.
 [[nodiscard]] std::optional<core::Method> method_from_string(

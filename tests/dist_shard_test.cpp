@@ -19,9 +19,12 @@
 #include "dist/worker.hpp"
 #include "exp/harness.hpp"
 #include "exp/sharded.hpp"
+#include "serve/server.hpp"
 #include "serve/shard.hpp"
 #include "serve/wire.hpp"
+#include "support/deadline.hpp"
 #include "support/error.hpp"
+#include "support/socket.hpp"
 
 namespace mgrts::dist {
 namespace {
@@ -498,6 +501,145 @@ TEST(Executor, CancelStopsAtTheNextIndexBoundary) {
         if (++rows_seen == 3) cancel.cancel();
       });
   EXPECT_EQ(partial.rows.size(), 3u);  // stopped well short of 10
+}
+
+// ------------------------------------------------ one daemon, one socket
+//
+// serve::Server is both the solve daemon and the shard worker: the tests
+// below drive it over a raw connection, as mgrts_ctl and the coordinator do.
+
+serve::Message ask(const support::Fd& fd, const serve::Message& request) {
+  serve::send_frame(fd, serve::format_message(request));
+  std::string payload;
+  EXPECT_TRUE(serve::recv_frame(fd, payload, 60'000));
+  return serve::parse_message(payload);
+}
+
+/// Sends a shard request and reads frames up to and including the first
+/// one that is neither a row nor a beat (the trailer, or an error).
+std::vector<serve::Message> stream_shard(const support::Fd& fd,
+                                         const serve::ShardRequest& request) {
+  serve::send_frame(fd, serve::format_message(
+                            serve::encode_shard_request(request)));
+  std::vector<serve::Message> frames;
+  for (;;) {
+    std::string payload;
+    if (!serve::recv_frame(fd, payload, 60'000)) break;
+    frames.push_back(serve::parse_message(payload));
+    if (frames.back().kind != "shard-row" &&
+        frames.back().kind != "shard-beat") {
+      break;
+    }
+  }
+  return frames;
+}
+
+serve::ShardRequest node_capped_request(std::vector<std::uint64_t> indices) {
+  serve::ShardRequest request;
+  request.shard_id = "s0/a1";
+  request.generator = small_batch().generator;
+  request.seed = small_batch().seed;
+  request.specs = {"csp2-dmc"};
+  request.time_limit_ms = kTimeLimitMs;
+  request.max_nodes = 5'000;
+  request.indices = std::move(indices);
+  return request;
+}
+
+std::int64_t header_int(const serve::Message& message, const char* key) {
+  return message.get_int(key).value_or(-1);
+}
+
+TEST(OneDaemon, ShardTrailerDoesNotWaitOutTheBeatInterval) {
+  WorkerOptions options;
+  options.socket_path = test_socket_path("slowbeat");
+  options.beat_interval_ms = 5'000;
+  WorkerServer worker(options);
+  worker.start();
+  const support::Fd fd = support::connect_unix(options.socket_path);
+
+  // CSP1 takes tens of milliseconds on this index, so the beat sender is
+  // already waiting out its interval when the shard ends.
+  serve::ShardRequest request = node_capped_request({3});
+  request.specs = {"csp1"};
+  support::Stopwatch watch;
+  const std::vector<serve::Message> frames = stream_shard(fd, request);
+  const double seconds = watch.seconds();
+  ASSERT_FALSE(frames.empty());
+  EXPECT_EQ(frames.back().kind, "shard-done");
+  EXPECT_EQ(serve::parse_shard_done(frames.back()).rows, 1);
+  EXPECT_LT(seconds, 2.5);
+  worker.stop();
+}
+
+TEST(OneDaemon, SolveShardAndControlKindsShareOneConnection) {
+  serve::ServerOptions options;
+  options.socket_path = test_socket_path("mixed");
+  serve::Server server(options);
+  server.start();
+  const support::Fd fd = support::connect_unix(options.socket_path);
+
+  serve::Message solve;
+  solve.kind = "solve";
+  solve.body = "tasks 2\n0 1 2 2\n0 1 2 2\nprocessors 2\n";
+  const serve::Message first = ask(fd, solve);
+  EXPECT_EQ(first.kind, "ok");
+  EXPECT_EQ(first.get("verdict"), core::to_string(core::Verdict::kFeasible));
+  EXPECT_EQ(first.get("cache"), "miss");
+
+  const std::vector<serve::Message> frames =
+      stream_shard(fd, node_capped_request({0, 1, 2}));
+  ASSERT_FALSE(frames.empty());
+  ASSERT_EQ(frames.back().kind, "shard-done");
+  const auto rows = std::count_if(
+      frames.begin(), frames.end(),
+      [](const serve::Message& m) { return m.kind == "shard-row"; });
+  EXPECT_EQ(rows, 3);
+  EXPECT_EQ(serve::parse_shard_done(frames.back()).rows, 3);
+
+  const serve::Message again = ask(fd, solve);
+  EXPECT_EQ(again.kind, "ok");
+  EXPECT_EQ(again.get("cache"), "hit");
+
+  serve::Message health_request;
+  health_request.kind = "health";
+  const serve::Message health = ask(fd, health_request);
+  ASSERT_EQ(health.kind, "health");
+  EXPECT_EQ(header_int(health, "solved"), 2);
+  EXPECT_EQ(header_int(health, "cache-hits"), 1);
+  EXPECT_EQ(header_int(health, "shards"), 1);
+  EXPECT_EQ(header_int(health, "rows"), 3);
+  EXPECT_EQ(header_int(health, "aborted"), 0);
+  EXPECT_EQ(header_int(health, "refused"), 0);
+
+  // A shard request missing its recipe: a tagged refusal, and the
+  // connection stays open for the next request.
+  serve::Message malformed;
+  malformed.kind = "shard";
+  malformed.set("shard-id", "s9/a1");
+  const serve::Message refusal = ask(fd, malformed);
+  EXPECT_EQ(refusal.kind, "error");
+  EXPECT_EQ(refusal.get("error-kind"), "protocol");
+
+  serve::Message unknown;
+  unknown.kind = "frobnicate";
+  const serve::Message unknown_reply = ask(fd, unknown);
+  EXPECT_EQ(unknown_reply.kind, "error");
+  EXPECT_EQ(unknown_reply.get("error-kind"), "protocol");
+
+  const serve::Message after = ask(fd, health_request);
+  EXPECT_EQ(header_int(after, "refused"), 1);
+  EXPECT_EQ(header_int(after, "protocol-errors"), 1);
+  EXPECT_EQ(header_int(after, "shards"), 1);
+
+  serve::Message shutdown;
+  shutdown.kind = "shutdown";
+  EXPECT_EQ(ask(fd, shutdown).kind, "bye");
+  // Drained: the handler closes its end after "bye".
+  std::string payload;
+  EXPECT_FALSE(serve::recv_frame(fd, payload, 10'000));
+  EXPECT_TRUE(server.service().shutdown_requested());
+  server.stop();
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // (DESIGN.md §16).
 //
 // Partitions a generator batch into index-list shards, dispatches them to
-// mgrts_workerd daemons over the serve wire, culls/re-dispatches
+// mgrts_serverd daemons over the serve wire, culls/re-dispatches
 // stragglers by heartbeat, and merges the streamed rows into one batch
 // result — record-identical to a single-box run by construction.
 //

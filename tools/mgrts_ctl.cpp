@@ -156,8 +156,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: mgrts_ctl [--socket PATH] "
                  "ping|solve|health|shutdown|smoke ...\n"
-                 "  ping/health/shutdown also drive mgrts_workerd sockets\n"
-                 "  (the shard workers speak the same control kinds)\n");
+                 "  shard requests come from mgrts_coordd; health also\n"
+                 "  reports a daemon's shard counters\n");
     return 2;
   }
   const std::string command = args[pos++];

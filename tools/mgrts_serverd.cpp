@@ -1,10 +1,13 @@
-// mgrts_serverd — the resident schedulability solver daemon (DESIGN.md §13).
+// mgrts_serverd — the resident schedulability solver daemon (DESIGN.md §13)
+// and the shard worker of the distributed batch layer (DESIGN.md §16).
 //
-// Serves solve/health/ping/shutdown requests on an AF_UNIX socket.  The
-// --fault-* flags arm the deterministic process-wide FaultInjector before
-// serving starts, which is how the CI chaos smoke proves the containment
-// story end-to-end: with faults firing inside the solver, every request
-// still gets a tagged response and the process exits cleanly on "shutdown".
+// Serves solve/shard/health/ping/shutdown requests on an AF_UNIX socket.
+// The --fault-* flags arm the deterministic process-wide FaultInjector
+// before serving starts, which is how the CI chaos smokes prove the
+// containment story end-to-end: with faults firing inside the solver,
+// every solve still gets a tagged response, a stalled shard is culled and
+// re-dispatched by the coordinator, and the process exits cleanly on
+// "shutdown".
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
@@ -24,9 +27,12 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s [options]\n"
       "\n"
+      "Serves solve, shard (mgrts_coordd's fleet batches), health, ping\n"
+      "and shutdown requests.\n"
+      "\n"
       "  --socket PATH            AF_UNIX socket path (default "
       "/tmp/mgrts.sock)\n"
-      "  --workers N              connection-handler threads (default 4)\n"
+      "  --workers N              connection-handler threads (default 2)\n"
       "  --default-timeout-ms MS  budget for requests without timeout-ms\n"
       "  --max-timeout-ms MS      hard ceiling on any request budget\n"
       "  --cache-capacity N       verdict-cache entries; 0 disables\n"
@@ -177,7 +183,8 @@ int main(int argc, char** argv) {
     const auto counters = server.service().counters();
     std::printf(
         "mgrts_serverd: shutdown after %lld requests (%lld solved, %lld "
-        "degraded, %lld errors, %lld cache hits, %lld culled)\n",
+        "degraded, %lld errors, %lld cache hits, %lld culled; %lld shards, "
+        "%lld rows, %lld aborted, %lld refused)\n",
         static_cast<long long>(counters.requests),
         static_cast<long long>(counters.solved),
         static_cast<long long>(counters.degraded),
@@ -186,7 +193,11 @@ int main(int argc, char** argv) {
                                counters.protocol_errors +
                                counters.internal_errors),
         static_cast<long long>(counters.cache_hits),
-        static_cast<long long>(server.watchdog_culled()));
+        static_cast<long long>(server.watchdog_culled()),
+        static_cast<long long>(counters.shards),
+        static_cast<long long>(counters.rows),
+        static_cast<long long>(counters.aborted),
+        static_cast<long long>(counters.refused));
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "mgrts_serverd: fatal: %s\n", e.what());
