@@ -28,12 +28,14 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/verdict.hpp"
+#include "csp/options.hpp"
 #include "rt/platform.hpp"
 #include "rt/schedule.hpp"
 #include "rt/task_set.hpp"
@@ -84,7 +86,9 @@ struct StageContext {
 /// Nogood-learning statistics of a generic-engine backend run (zeros when
 /// the method does not record nogoods).  Mirrors csp::SolveStats' nogood
 /// counters so provenance reports and the bench ledger can track learning
-/// quality without reaching into the engine.
+/// quality without reaching into the engine.  Every member is a counter
+/// listed in kNogoodCounters below; consumers (the shard codec, merges,
+/// record comparison) iterate that table instead of naming fields.
 struct NogoodStats {
   std::int64_t recorded = 0;     ///< nogoods stored (incl. root units)
   std::int64_t imported = 0;     ///< adopted from a shared pool
@@ -127,19 +131,39 @@ struct NogoodStats {
                              static_cast<double>(lits_ds)
                        : 1.0;
   }
+
+  /// Counter-wise sum (aggregating runs).
+  NogoodStats& operator+=(const NogoodStats& other) noexcept;
+
+  bool operator==(const NogoodStats&) const = default;
 };
 
-/// Per-propagator-class observability row of a generic-engine backend run
-/// (mirrors csp::PropagatorProfile): advisor wake-ups, actual sweeps, the
-/// domain changes those sweeps produced, and — only when the backend ran
-/// with csp::SearchOptions::prop_profile — wall time inside the sweeps.
-struct PropagatorStats {
-  std::string name;
-  std::int64_t wakes = 0;
-  std::int64_t runs = 0;
-  std::int64_t prunes = 0;
-  double seconds = 0.0;
-};
+/// Every NogoodStats counter, in the order the shard codec's "ng" line
+/// carries them (DESIGN.md §16).  A new counter is a member plus an entry
+/// here; the static_assert refuses a member without one.
+inline constexpr std::int64_t NogoodStats::*kNogoodCounters[] = {
+    &NogoodStats::recorded,      &NogoodStats::imported,
+    &NogoodStats::exported,      &NogoodStats::replay_hits,
+    &NogoodStats::lits_before,   &NogoodStats::lits_after,
+    &NogoodStats::lits_uip,      &NogoodStats::lits_ds,
+    &NogoodStats::subsumed,      &NogoodStats::lbd_refreshed,
+    &NogoodStats::backjumps,     &NogoodStats::backjump_levels_saved,
+    &NogoodStats::lits_minimized};
+static_assert(sizeof(NogoodStats) ==
+                  std::size(kNogoodCounters) * sizeof(std::int64_t),
+              "every NogoodStats member needs a kNogoodCounters entry");
+
+inline NogoodStats& NogoodStats::operator+=(const NogoodStats& other) noexcept {
+  for (const auto counter : kNogoodCounters) this->*counter += other.*counter;
+  return *this;
+}
+
+/// Per-propagator-class observability row of a generic-engine backend run:
+/// advisor wake-ups, actual sweeps, the domain changes those sweeps
+/// produced, and — only when the backend ran with
+/// csp::SearchOptions::prop_profile — wall time inside the sweeps.  The
+/// engine's own row type, passed through unchanged.
+using PropagatorStats = csp::PropagatorProfile;
 
 /// What a stage (or backend) found.  Stages leave `verdict` at kUnknown to
 /// pass the instance on; backends report whatever their search produced.

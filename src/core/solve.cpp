@@ -64,16 +64,21 @@ NogoodStats to_nogood_stats(const csp::SolveStats& stats) {
   return out;
 }
 
-/// Lifts the engine's per-propagator rows into the provenance shape.
-std::vector<PropagatorStats> to_propagator_stats(
-    const csp::SolveStats& stats) {
-  std::vector<PropagatorStats> out;
-  out.reserve(stats.propagators.size());
-  for (const csp::PropagatorProfile& row : stats.propagators) {
-    out.push_back(PropagatorStats{row.name, row.wakes, row.runs, row.prunes,
-                                  row.seconds});
-  }
-  return out;
+/// Runs a built generic-engine model under the backend's budgets and
+/// projects its outcome into `out`; the caller decodes the witness.
+csp::SolveOutcome solve_generic(csp::Solver& solver, const SolveConfig& config,
+                                const support::Deadline& deadline,
+                                StageResult& out) {
+  csp::SearchOptions options = config.generic;
+  options.deadline = deadline;
+  options.max_nodes = config.max_nodes;
+  csp::SolveOutcome outcome = solver.solve(options);
+  out.verdict = canonical_verdict(outcome.status);
+  out.nodes = outcome.stats.nodes;
+  out.failures = outcome.stats.failures;
+  out.nogoods = to_nogood_stats(outcome.stats);
+  out.propagators = std::move(outcome.stats.propagators);
+  return outcome;
 }
 
 /// Attributes a budget verdict to its FailureCause: wall expiry vs
@@ -146,15 +151,8 @@ class MethodBackend final : public Backend {
     switch (method_) {
       case Method::kCsp1Generic: {
         auto model = enc::build_csp1(ts, platform, config.limits);
-        csp::SearchOptions options = config.generic;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        const csp::SolveOutcome outcome = model.solver->solve(options);
-        out.verdict = canonical_verdict(outcome.status);
-        out.nodes = outcome.stats.nodes;
-        out.failures = outcome.stats.failures;
-        out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = to_propagator_stats(outcome.stats);
+        const csp::SolveOutcome outcome =
+            solve_generic(*model.solver, config, deadline, out);
         if (outcome.status == csp::SolveStatus::kSat) {
           out.schedule = enc::decode_csp1(model, outcome.assignment);
         }
@@ -164,15 +162,8 @@ class MethodBackend final : public Backend {
         auto model = enc::build_csp2_generic(ts, platform,
                                              config.csp2_generic,
                                              config.limits);
-        csp::SearchOptions options = config.generic;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        const csp::SolveOutcome outcome = model.solver->solve(options);
-        out.verdict = canonical_verdict(outcome.status);
-        out.nodes = outcome.stats.nodes;
-        out.failures = outcome.stats.failures;
-        out.nogoods = to_nogood_stats(outcome.stats);
-        out.propagators = to_propagator_stats(outcome.stats);
+        const csp::SolveOutcome outcome =
+            solve_generic(*model.solver, config, deadline, out);
         if (outcome.status == csp::SolveStatus::kSat) {
           out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
         }

@@ -270,6 +270,17 @@ struct BatchHealth {
   std::int64_t quarantined = 0; ///< jobs that exhausted every attempt
   std::vector<std::size_t> quarantined_jobs;  ///< their indices, ascending
   std::string first_error;      ///< first contained failure, human-readable
+
+  /// Folds another batch in: sums the four counters and keeps the first
+  /// first_error.  quarantined_jobs index the other batch's own job list,
+  /// so they are not carried over.
+  void merge(const BatchHealth& other) {
+    failures += other.failures;
+    retries += other.retries;
+    recovered += other.recovered;
+    quarantined += other.quarantined;
+    if (first_error.empty()) first_error = other.first_error;
+  }
 };
 
 /// Solves every job, fanning the independent runs over the shared thread

@@ -50,13 +50,9 @@ enum class RestartPolicy {
 /// How propagators compute their prunings.  kIncremental and kScratch use
 /// the same wake events and reach the same fixpoints, so they explore the
 /// identical tree; kScratch is the reference for differential testing.
-/// kLegacy additionally disables event filtering (every watcher wakes on
-/// every change, advisors skipped), emulating the pre-event-engine behavior
-/// as the benchmark baseline.
 enum class PropagationMode {
   kIncremental,  ///< trailed counters / pending lists (the fast path)
   kScratch,      ///< recompute every propagator from its full scope
-  kLegacy,       ///< kScratch + wake-on-any-change (pre-change emulation)
 };
 
 /// Consistency level of structural global constraints that support both
@@ -100,7 +96,6 @@ struct SearchOptions {
   /// Record the decision-set nogood at every conflict and replay the
   /// database as 2-watched-literal constraints.  Nogoods survive restarts,
   /// so this mainly pays off combined with RestartPolicy::kLuby/kGeometric.
-  /// Ignored under PropagationMode::kLegacy (replay needs advisors).
   bool nogoods = false;
   /// Minimize nogoods by conflict analysis before recording (DESIGN.md
   /// §10): the solver tracks a reason per trail entry and keeps only the

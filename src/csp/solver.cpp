@@ -167,15 +167,6 @@ void Solver::wake_list(const WatchList& list, VarId v,
   const auto end =
       static_cast<std::size_t>(list.offset[static_cast<std::size_t>(v) + 1]);
   stats_.events += static_cast<std::int64_t>(end - begin);
-  if (legacy_) {
-    // Pre-change emulation: no advisors, every watcher is queued.
-    for (std::size_t k = begin; k < end; ++k) {
-      const std::int32_t pid = list.data[k].pid;
-      ++prop_wakes_[static_cast<std::size_t>(pid)];
-      enqueue(*propagators_[static_cast<std::size_t>(pid)]);
-    }
-    return;
-  }
   for (std::size_t k = begin; k < end; ++k) {
     const Watch w = list.data[k];
     Propagator& p = *propagators_[static_cast<std::size_t>(w.pid)];
@@ -678,11 +669,6 @@ std::int32_t Solver::entailment_depth(Lit lit) const {
 void Solver::build_watch_lists() {
   const std::size_t n = domains_.size();
 
-  // In legacy mode every propagator subscribes to every change on its
-  // scope, emulating the single-event pre-change watch lists.
-  auto effective_policy = [&](const Propagator& p) {
-    return legacy_ ? WakePolicy::kAnyChange : p.wake_policy();
-  };
   // The solve-owned nogood store gets direct delivery (notify_store), so
   // its all-variable scope never inflates the CSR lists: one fewer entry
   // to walk per variable per event on the hottest loop in the solver.
@@ -692,7 +678,7 @@ void Solver::build_watch_lists() {
   auto build = [&](WakePolicy policy, WatchList& list) {
     std::vector<std::int32_t> counts(n + 1, 0);
     for (const auto& p : propagators_) {
-      if (skip_store(*p) || effective_policy(*p) != policy) continue;
+      if (skip_store(*p) || p->wake_policy() != policy) continue;
       for (const VarId v : p->scope()) {
         ++counts[static_cast<std::size_t>(v) + 1];
       }
@@ -702,7 +688,7 @@ void Solver::build_watch_lists() {
     list.data.assign(static_cast<std::size_t>(counts[n]), Watch{0, 0});
     std::vector<std::int32_t> cursor = list.offset;
     for (const auto& p : propagators_) {
-      if (skip_store(*p) || effective_policy(*p) != policy) continue;
+      if (skip_store(*p) || p->wake_policy() != policy) continue;
       const auto& scope = p->scope();
       for (std::size_t pos = 0; pos < scope.size(); ++pos) {
         const auto v = static_cast<std::size_t>(scope[pos]);
@@ -912,8 +898,7 @@ Value Solver::select_value(const SearchOptions& options, VarId var,
 SolveOutcome Solver::solve(const SearchOptions& options) {
   support::Stopwatch watch;
   stats_ = SolveStats{};
-  scratch_ = options.propagation != PropagationMode::kIncremental;
-  legacy_ = options.propagation == PropagationMode::kLegacy;
+  scratch_ = options.propagation == PropagationMode::kScratch;
   support::Rng rng(options.seed);
 
   // Selection-heap setup must precede any domain traffic (the unfixed-set
@@ -927,16 +912,13 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
 
   // The nogood store joins the model as a propagator before the watch
   // lists freeze; it stays empty (and silent) until the first conflict.
-  // kLegacy skips advisors entirely, so watched-literal replay cannot run
-  // there — recording is disabled rather than silently inert.
   nogood_store_ = nullptr;
   // General (1-UIP) stores carry !=/<=/>= literals whose entailment can
   // move on prune events, so they watch every change; decision-set stores
   // keep the fix-only subscription.
   const bool uip_learning =
       options.nogood_shrink && options.nogood_learn == NogoodLearn::kUip1;
-  if (!frozen_ && !legacy_ &&
-      (options.nogoods || options.nogood_pool != nullptr) &&
+  if (!frozen_ && (options.nogoods || options.nogood_pool != nullptr) &&
       !domains_.empty()) {
     auto store = std::make_unique<NogoodStore>(
         variable_count(), options.nogood_max_length, options.nogood_max_lbd,
@@ -961,10 +943,9 @@ SolveOutcome Solver::solve(const SearchOptions& options) {
   // Reason tracking (DESIGN.md §10) is built only when conflict-analysis
   // shrinking can use it (or the determinism probe forces it); otherwise
   // active_reason_ stays kReasonNone and no per-change work happens.
-  track_reasons_ =
-      !legacy_ && !domains_.empty() &&
-      ((options.nogood_shrink && nogood_store_ != nullptr) ||
-       options.force_reason_trail);
+  track_reasons_ = !domains_.empty() &&
+                   ((options.nogood_shrink && nogood_store_ != nullptr) ||
+                    options.force_reason_trail);
   active_reason_ = kReasonNone;
   if (track_reasons_) {
     reason_offset_.assign(1, 0);

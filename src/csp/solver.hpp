@@ -506,7 +506,6 @@ class Solver {
   std::array<std::size_t, kPriorityLevels> queue_head_{};
 
   bool scratch_ = false;
-  bool legacy_ = false;
   SolveStats stats_;
   std::int32_t failing_prop_ = -1;
 

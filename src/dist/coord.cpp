@@ -253,13 +253,7 @@ exp::BatchResult run_fleet(const exp::BatchOptions& batch,
         ++stats.duplicate_rows;  // dropped: first complete shard wins
       }
     }
-    result.health.failures += health.failures;
-    result.health.retries += health.retries;
-    result.health.recovered += health.recovered;
-    result.health.quarantined += health.quarantined;
-    if (result.health.first_error.empty()) {
-      result.health.first_error = health.first_error;
-    }
+    result.health.merge(health);
   };
 
   const auto run_local = [&](const Shard& shard) {

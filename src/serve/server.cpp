@@ -88,6 +88,9 @@ void Server::begin_stop() {
   }
   stop_cv_.notify_all();
   stop_token_.cancel();
+  // Wakes the accept loop's poll now instead of after poll_interval_ms; the
+  // refused accept that follows reads as a miss and run() sees stopping_.
+  listener_.shutdown();
 }
 
 void Server::handle_connection(support::Fd connection) {
@@ -141,7 +144,10 @@ void Server::handle_connection(support::Fd connection) {
     } catch (const support::SocketError&) {
       return;  // peer vanished mid-answer; the solve result is simply lost
     }
-    if (service_.shutdown_requested()) return;  // "bye" sent; close our end
+    if (service_.shutdown_requested()) {
+      begin_stop();  // "bye" sent: wake the accept loop, close our end
+      return;
+    }
   }
 }
 

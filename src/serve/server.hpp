@@ -107,7 +107,8 @@ class Server {
   /// returns false when the connection is no longer usable.
   bool handle_shard(const support::Fd& connection, const std::string& payload);
   void watchdog_loop();
-  /// Sets stopping_, wakes the watchdog and cancels the stop token.
+  /// Sets stopping_, wakes the watchdog and the accept loop, and cancels
+  /// the stop token.
   void begin_stop();
 
   ServerOptions options_;

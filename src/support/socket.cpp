@@ -87,9 +87,12 @@ Fd accept_unix(const Fd& listener, std::int64_t timeout_ms) {
     const int client = ::accept(listener.get(), nullptr, nullptr);
     if (client >= 0) return Fd(client);
     if (errno == EINTR) continue;
-    // The readiness seen by poll can evaporate (peer aborted the handshake);
-    // report a timeout-shaped miss instead of failing the accept loop.
-    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED) {
+    // The readiness seen by poll can evaporate (peer aborted the handshake),
+    // and a listener its owner shut down to wake this poll refuses with
+    // EINVAL; both read as a timeout-shaped miss, so the caller's stop-flag
+    // check decides instead of failing the accept loop.
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ECONNABORTED ||
+        errno == EINVAL) {
       return Fd();
     }
     fail("accept");

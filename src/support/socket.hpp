@@ -71,8 +71,9 @@ class Fd {
 [[nodiscard]] Fd connect_unix(const std::string& path);
 
 /// Waits up to `timeout_ms` for a pending connection, then accepts it.
-/// Returns an invalid Fd on timeout (the caller's stop-flag poll point);
-/// throws SocketError on a genuine accept failure.
+/// Returns an invalid Fd on timeout (the caller's stop-flag poll point) and
+/// at once when the listener was shut down (Fd::shutdown — how an owner
+/// wakes this wait); throws SocketError on a genuine accept failure.
 [[nodiscard]] Fd accept_unix(const Fd& listener, std::int64_t timeout_ms);
 
 /// Waits up to `timeout_ms` for `fd` to become readable (-1 = forever).

@@ -76,7 +76,10 @@ TEST(ShardCodec, RequestRoundTripsEveryField) {
   EXPECT_EQ(parsed.indices, request.indices);
 }
 
-TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
+/// A two-run row: the first run sets every NogoodStats counter to a
+/// distinct nonzero value (a swapped pair of counters cannot round-trip),
+/// the second is an overrun with empty provenance and no stats.
+serve::ShardRow sample_row() {
   serve::ShardRow row;
   row.shard_id = "s0/a1";
   row.record.index = 17;
@@ -94,9 +97,15 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   decided.nodes = 1'234;
   decided.decided_by = "backend: csp2 generic (D-C)";
   decided.nogoods.recorded = 11;
+  decided.nogoods.imported = 2;
+  decided.nogoods.exported = 4;
   decided.nogoods.replay_hits = 3;
   decided.nogoods.lits_before = 40;
   decided.nogoods.lits_after = 25;
+  decided.nogoods.lits_uip = 19;
+  decided.nogoods.lits_ds = 23;
+  decided.nogoods.subsumed = 6;
+  decided.nogoods.lbd_refreshed = 8;
   decided.nogoods.backjumps = 5;
   decided.nogoods.backjump_levels_saved = 12;
   decided.nogoods.lits_minimized = 7;
@@ -111,7 +120,11 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   overrun.failure_cause = core::FailureCause::kMemory;
 
   row.record.runs = {decided, overrun};
+  return row;
+}
 
+TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
+  const serve::ShardRow row = sample_row();
   const serve::ShardRow parsed = serve::parse_shard_row(
       serve::parse_message(serve::format_message(serve::encode_shard_row(row))));
   EXPECT_EQ(parsed.shard_id, row.shard_id);
@@ -123,6 +136,7 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   EXPECT_EQ(parsed.record.exceeds_capacity, row.record.exceeds_capacity);
   ASSERT_EQ(parsed.record.runs.size(), 2u);
 
+  const exp::RunRecord& decided = row.record.runs[0];
   const exp::RunRecord& d = parsed.record.runs[0];
   EXPECT_EQ(d.verdict, decided.verdict);
   EXPECT_EQ(d.seconds, decided.seconds);
@@ -131,14 +145,7 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   EXPECT_EQ(d.nodes, decided.nodes);
   EXPECT_EQ(d.decided_by, decided.decided_by);  // spaces survive
   EXPECT_EQ(d.failure_cause, core::FailureCause::kNone);
-  EXPECT_EQ(d.nogoods.recorded, decided.nogoods.recorded);
-  EXPECT_EQ(d.nogoods.replay_hits, decided.nogoods.replay_hits);
-  EXPECT_EQ(d.nogoods.lits_before, decided.nogoods.lits_before);
-  EXPECT_EQ(d.nogoods.lits_after, decided.nogoods.lits_after);
-  EXPECT_EQ(d.nogoods.backjumps, decided.nogoods.backjumps);
-  EXPECT_EQ(d.nogoods.backjump_levels_saved,
-            decided.nogoods.backjump_levels_saved);
-  EXPECT_EQ(d.nogoods.lits_minimized, decided.nogoods.lits_minimized);
+  EXPECT_EQ(d.nogoods, decided.nogoods);
   ASSERT_EQ(d.propagators.size(), 2u);
   EXPECT_EQ(d.propagators[0].name, "all-different matching");
   EXPECT_EQ(d.propagators[0].wakes, 10);
@@ -152,8 +159,21 @@ TEST(ShardCodec, RowRoundTripsTheFullRunRecordSurface) {
   EXPECT_FALSE(o.complete);
   EXPECT_TRUE(o.decided_by.empty());
   EXPECT_EQ(o.failure_cause, core::FailureCause::kMemory);
-  EXPECT_EQ(o.nogoods.recorded, 0);
+  EXPECT_EQ(o.nogoods, core::NogoodStats{});
   EXPECT_TRUE(o.propagators.empty());
+}
+
+TEST(ShardCodec, RowBodyIsPinnedWireText) {
+  // The exact body text of sample_row(): the "ng" line lists the counters
+  // in core::kNogoodCounters order, so reordering that table (or changing
+  // a number format) changes what peers of another build parse.
+  EXPECT_EQ(serve::encode_shard_row(sample_row()).body,
+            "run feasible 1 1 none 1234 0.04150390625 "
+            "backend: csp2 generic (D-C)\n"
+            "ng 11 2 4 3 40 25 19 23 6 8 5 12 7\n"
+            "prop 10 8 6 0.25 all-different matching\n"
+            "prop 4 4 0 0 demand table\n"
+            "run unknown 0 0 memory 0 0 -\n");
 }
 
 TEST(ShardCodec, BeatAndDoneRoundTrip) {
@@ -287,12 +307,7 @@ void expect_run_equal(const exp::RunRecord& a, const exp::RunRecord& b,
   EXPECT_EQ(a.nodes, b.nodes) << label;
   EXPECT_EQ(a.decided_by, b.decided_by) << label;
   EXPECT_EQ(a.failure_cause, b.failure_cause) << label;
-  EXPECT_EQ(a.nogoods.recorded, b.nogoods.recorded) << label;
-  EXPECT_EQ(a.nogoods.replay_hits, b.nogoods.replay_hits) << label;
-  EXPECT_EQ(a.nogoods.lits_before, b.nogoods.lits_before) << label;
-  EXPECT_EQ(a.nogoods.lits_after, b.nogoods.lits_after) << label;
-  EXPECT_EQ(a.nogoods.backjumps, b.nogoods.backjumps) << label;
-  EXPECT_EQ(a.nogoods.lits_minimized, b.nogoods.lits_minimized) << label;
+  EXPECT_EQ(a.nogoods, b.nogoods) << label;
   ASSERT_EQ(a.propagators.size(), b.propagators.size()) << label;
   for (std::size_t p = 0; p < a.propagators.size(); ++p) {
     EXPECT_EQ(a.propagators[p].name, b.propagators[p].name) << label;

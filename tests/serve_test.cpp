@@ -10,8 +10,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/canonical.hpp"
@@ -660,22 +662,43 @@ TEST(Daemon, SolvePingHealthOverTheSocket) {
   server.stop();
 }
 
+// The accept loop polls with poll_interval_ms; an accepted "shutdown" or
+// a stop() must wake it at once, not after the next poll timeout.
+constexpr std::int64_t kSlowPollMs = 5'000;
+
+double seconds_since(std::chrono::steady_clock::time_point begin) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       begin)
+      .count();
+}
+
 TEST(Daemon, ShutdownRequestStopsTheAcceptLoop) {
   ServerOptions options;
   options.socket_path = test_socket_path("bye");
   options.workers = 2;
-  options.poll_interval_ms = 50;
+  options.poll_interval_ms = kSlowPollMs;
+  Server server(options);
+
+  const auto begin = std::chrono::steady_clock::now();
+  std::thread client([&] { Client(options.socket_path).shutdown(); });
+  server.run();  // returns by itself once the shutdown request drained
+  EXPECT_LT(seconds_since(begin), 1.0);
+  client.join();
+  EXPECT_TRUE(server.service().shutdown_requested());
+}
+
+TEST(Daemon, StopWakesAnIdleAcceptLoopAtOnce) {
+  ServerOptions options;
+  options.socket_path = test_socket_path("stop");
+  options.workers = 2;
+  options.poll_interval_ms = kSlowPollMs;
   Server server(options);
   server.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));  // in poll
 
-  {
-    Client client(options.socket_path);
-    client.shutdown();
-  }
-  // stop() joins the accept loop; after a shutdown request it must already
-  // be unwinding, so this returns promptly rather than timing out.
+  const auto begin = std::chrono::steady_clock::now();
   server.stop();
-  EXPECT_TRUE(server.service().shutdown_requested());
+  EXPECT_LT(seconds_since(begin), 1.0);
 }
 
 TEST(Daemon, GarbageBytesOnTheSocketGetARefusalNotACrash) {
