@@ -1,18 +1,18 @@
 // The staged solve pipeline: presolve stages in front of a search backend.
 //
 // Every solve in this repo — single instance, batch, portfolio race — runs
-// through one `Pipeline`: an ordered list of `Stage`s (cheap, sound,
-// allowed to answer "unknown") followed by exactly one `Backend` (the
-// requested search method, which always produces the final word when no
-// stage short-circuits).  The pipeline records provenance: which stage or
-// backend decided (`decided_by`) and per-stage wall times, so harness
+// `run_presolve` (cheap, sound stages, allowed to answer "unknown") and,
+// when no stage decides, exactly one backend (the requested search method,
+// core/solve.cpp's `run_method`, which has the final word).  Each step is
+// timed and contained by `run_step`, so provenance records which stage or
+// backend decided (`decided_by`) and per-step wall times, and harness
 // records and benches can report how much work presolve absorbs.
 //
 // Stage contracts (see DESIGN.md §8):
 //   * sound — a decisive result (feasible, or infeasible with
 //     `complete == true`) must be a proof; "cannot tell" is kUnknown;
-//   * gated — `applicable()` rejects instance shapes the stage cannot
-//     judge (e.g. the flow oracle on heterogeneous platforms) so the
+//   * gated — run_presolve skips a stage on instance shapes it cannot
+//     judge (analysis and flow on heterogeneous platforms) so the
 //     pipeline composes over every workload without special-casing;
 //   * bounded — stages respect the shared deadline and their node budget;
 //     a stage must never be the reason a solve misses its wall budget;
@@ -28,10 +28,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iterator>
-#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/verdict.hpp"
@@ -42,8 +43,6 @@
 #include "support/deadline.hpp"
 
 namespace mgrts::core {
-
-struct SolveConfig;  // core/solve.hpp
 
 /// Which presolve stages run in front of the backend, and their budgets.
 struct PipelineOptions {
@@ -75,12 +74,6 @@ struct PipelineOptions {
     options.csp2_presolve = true;
     return options;
   }
-};
-
-/// Budgets handed to a running stage.
-struct StageContext {
-  support::Deadline deadline;
-  std::int64_t presolve_max_nodes = 20'000;
 };
 
 /// Nogood-learning statistics of a generic-engine backend run (zeros when
@@ -191,33 +184,6 @@ struct StageResult {
   }
 };
 
-/// A presolve stage: cheap, sound, may answer kUnknown.
-class Stage {
- public:
-  virtual ~Stage() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  /// Structural gate: false when the stage cannot judge this instance
-  /// shape at all (it is then skipped silently).
-  [[nodiscard]] virtual bool applicable(const rt::TaskSet& ts,
-                                        const rt::Platform& platform) const = 0;
-  [[nodiscard]] virtual StageResult run(const rt::TaskSet& ts,
-                                        const rt::Platform& platform,
-                                        const StageContext& context) const = 0;
-};
-
-/// The terminal search method: runs when no stage decided, and its result —
-/// decided or not — is the pipeline's result.
-class Backend {
- public:
-  virtual ~Backend() = default;
-  [[nodiscard]] virtual const char* name() const = 0;
-  [[nodiscard]] virtual StageResult run(const rt::TaskSet& ts,
-                                        const rt::Platform& platform,
-                                        const SolveConfig& config,
-                                        const support::Deadline& deadline)
-      const = 0;
-};
-
 /// One line of pipeline provenance: stage (or backend) name, its verdict,
 /// and its wall time.
 struct StageTiming {
@@ -232,56 +198,44 @@ struct PipelineOutcome {
   /// "flow-oracle", "csp2-presolve") or "backend:<method>".
   std::string decided_by;
   std::vector<StageTiming> stages;  ///< execution order, timed
-
-  /// Same semantics as exp::RunRecord::decided_by_presolve: a decisive
-  /// answer from a stage, not from the backend or a portfolio lane.
-  [[nodiscard]] bool decided_by_presolve() const {
-    return result.decisive() && decided_by.rfind("backend:", 0) != 0 &&
-           decided_by.rfind("portfolio:", 0) != 0;
-  }
 };
 
-/// An ordered stage list plus (optionally) a backend.
-class Pipeline {
- public:
-  Pipeline() = default;
-  explicit Pipeline(PipelineOptions options) : options_(options) {}
+/// The three places an exception is contained (DESIGN.md §12).
+enum class Boundary {
+  kStage,    ///< a presolve stage: kUnknown hand-off, the next step runs
+  kBackend,  ///< the search method: memory walls read kMemoryLimit
+  kSolve,    ///< a whole solve (solve_contained): kUnknown, incomplete
+};
 
-  Pipeline& add(std::unique_ptr<Stage> stage);
-  Pipeline& set_backend(std::unique_ptr<Backend> backend);
+/// The containment funnel, the one exception -> (verdict, cause, detail)
+/// mapping.  Runs `step`; returns nullopt when it returns normally, else
+/// the non-decisive result that replaces it:
+///   FaultInjectedError          -> kUnknown     + kFaultInjected
+///   ResourceError, bad_alloc    -> kUnknown     + kMemory
+///                                  (kMemoryLimit at kBackend)
+///   any other std::exception    -> kUnknown     + kInternalError
+/// ValidationError is rethrown at kBackend (a malformed request is the
+/// caller's bug, not a degradation) and is an internal error elsewhere.
+/// `complete` is false at kSolve only.  `name` prefixes the detail.
+[[nodiscard]] std::optional<StageResult> contain(
+    Boundary boundary, std::string_view name,
+    const std::function<void()>& step);
 
-  /// Runs the stages in order; stops at the first decisive result.  Skips
-  /// stages that are inapplicable or whose deadline already expired.
-  [[nodiscard]] PipelineOutcome run_stages(const rt::TaskSet& ts,
+/// One timed pipeline step: `step` behind the funnel at `boundary`, its
+/// {name, verdict, wall time} appended to `stages`.
+[[nodiscard]] StageResult run_step(Boundary boundary, const char* name,
+                                   const std::function<StageResult()>& step,
+                                   std::vector<StageTiming>& stages);
+
+/// The presolve stages `options` selects, in order — analysis (necessary-
+/// only when the flow oracle follows, so every feasible short-circuit
+/// carries a witness), flow-oracle, csp2-presolve — stopping at the first
+/// decisive result.  Analysis and flow run on identical platforms only; an
+/// expired deadline skips every remaining stage.  `ts` must have
+/// constrained deadlines (callers clone-expand first).
+[[nodiscard]] PipelineOutcome run_presolve(const rt::TaskSet& ts,
                                            const rt::Platform& platform,
-                                           const support::Deadline& deadline)
-      const;
-
-  /// run_stages, then the backend when no stage decided.  Requires a
-  /// backend.
-  [[nodiscard]] PipelineOutcome run(const rt::TaskSet& ts,
-                                    const rt::Platform& platform,
-                                    const SolveConfig& config,
-                                    const support::Deadline& deadline) const;
-
- private:
-  PipelineOptions options_;
-  std::vector<std::unique_ptr<Stage>> stages_;
-  std::unique_ptr<Backend> backend_;
-};
-
-// Built-in stages (pipeline.cpp).
-//
-// `necessary_only` restricts the analysis stage to the infeasible
-// direction; make_pipeline sets it whenever the flow oracle follows, so
-// feasible instances get decided one stage later *with* a constructed
-// witness instead of a witness-less density proof.
-[[nodiscard]] std::unique_ptr<Stage> make_analysis_stage(
-    bool necessary_only = false);
-[[nodiscard]] std::unique_ptr<Stage> make_flow_oracle_stage();
-[[nodiscard]] std::unique_ptr<Stage> make_csp2_presolve_stage();
-
-/// The standard presolve chain selected by `options` (no backend attached).
-[[nodiscard]] Pipeline make_pipeline(const PipelineOptions& options);
+                                           const PipelineOptions& options,
+                                           const support::Deadline& deadline);
 
 }  // namespace mgrts::core

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <exception>
+#include <memory>
 #include <mutex>
-#include <new>
 #include <thread>
 #include <utility>
 
@@ -14,7 +13,6 @@
 #include "rt/validate.hpp"
 #include "sim/simulator.hpp"
 #include "support/deadline.hpp"
-#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace mgrts::core {
@@ -44,6 +42,11 @@ csp::SearchOptions choco_like_defaults(std::uint64_t seed) {
 }
 
 namespace {
+
+/// Variable budget of a randomized portfolio lane (PortfolioConfig::
+/// random_lanes): a lane must not burn the race budget building a model
+/// it cannot search.
+constexpr std::int64_t kRandomLaneMaxVariables = 250'000;
 
 /// Lifts the engine's nogood counters into the provenance shape.
 NogoodStats to_nogood_stats(const csp::SolveStats& stats) {
@@ -95,179 +98,130 @@ FailureCause infer_cause(Verdict verdict, const support::Deadline& deadline) {
   }
 }
 
-/// The terminal pipeline stage: dispatches to the requested search method.
-/// Containment funnel (DESIGN.md §12): ResourceError surfaces as
-/// kMemoryLimit (Table IV's "-"), injected faults and unexpected exceptions
-/// degrade to kUnknown with cause provenance; only structural
-/// ValidationError (e.g. the flow oracle on a heterogeneous platform)
-/// propagates to the caller as before.
-class MethodBackend final : public Backend {
- public:
-  explicit MethodBackend(Method method) : method_(method) {}
-
-  [[nodiscard]] const char* name() const override {
-    return core::to_string(method_);
-  }
-
-  [[nodiscard]] StageResult run(const rt::TaskSet& ts,
-                                const rt::Platform& platform,
-                                const SolveConfig& config,
-                                const support::Deadline& deadline)
-      const override {
-    StageResult out;
-    try {
-      dispatch(ts, platform, config, deadline, out);
-    } catch (const ValidationError&) {
-      throw;
-    } catch (const FaultInjectedError& e) {
-      out = StageResult{};
-      out.cause = FailureCause::kFaultInjected;
-      out.detail = e.what();
-    } catch (const ResourceError& e) {
-      out = StageResult{};
-      out.verdict = Verdict::kMemoryLimit;
-      out.cause = FailureCause::kMemory;
-      out.detail = e.what();
-    } catch (const std::bad_alloc&) {
-      out = StageResult{};
-      out.verdict = Verdict::kMemoryLimit;
-      out.cause = FailureCause::kMemory;
-      out.detail = "allocation failed during model build or search";
-    } catch (const std::exception& e) {
-      out = StageResult{};
-      out.cause = FailureCause::kInternalError;
-      out.detail = std::string("backend threw: ") + e.what();
+/// The backend: dispatches to the requested search method.  Runs behind
+/// the funnel at Boundary::kBackend, so a ResourceError surfaces as
+/// kMemoryLimit (Table IV's "-") and only a structural ValidationError (e.g.
+/// the flow oracle on a heterogeneous platform) reaches the caller.
+StageResult run_method(Method method, const rt::TaskSet& ts,
+                       const rt::Platform& platform, const SolveConfig& config,
+                       const support::Deadline& deadline) {
+  StageResult out;
+  switch (method) {
+    case Method::kCsp1Generic: {
+      auto model = enc::build_csp1(ts, platform, config.limits);
+      const csp::SolveOutcome outcome =
+          solve_generic(*model.solver, config, deadline, out);
+      if (outcome.status == csp::SolveStatus::kSat) {
+        out.schedule = enc::decode_csp1(model, outcome.assignment);
+      }
+      break;
     }
-    if (out.cause == FailureCause::kNone) {
-      out.cause = infer_cause(out.verdict, deadline);
+    case Method::kCsp2Generic: {
+      auto model = enc::build_csp2_generic(ts, platform,
+                                           config.csp2_generic,
+                                           config.limits);
+      const csp::SolveOutcome outcome =
+          solve_generic(*model.solver, config, deadline, out);
+      if (outcome.status == csp::SolveStatus::kSat) {
+        out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
+      }
+      break;
     }
-    return out;
-  }
-
- private:
-  void dispatch(const rt::TaskSet& ts, const rt::Platform& platform,
-                const SolveConfig& config, const support::Deadline& deadline,
-                StageResult& out) const {
-    switch (method_) {
-      case Method::kCsp1Generic: {
-        auto model = enc::build_csp1(ts, platform, config.limits);
-        const csp::SolveOutcome outcome =
-            solve_generic(*model.solver, config, deadline, out);
-        if (outcome.status == csp::SolveStatus::kSat) {
-          out.schedule = enc::decode_csp1(model, outcome.assignment);
-        }
-        break;
+    case Method::kCsp2Dedicated: {
+      csp2::Options options = config.csp2;
+      options.deadline = deadline;
+      options.max_nodes = config.max_nodes;
+      csp2::Result result = csp2::solve(ts, platform, options);
+      out.verdict = canonical_verdict(result.status);
+      out.complete = result.search_complete;
+      out.nodes = result.stats.nodes;
+      out.failures = result.stats.failures;
+      out.schedule = std::move(result.schedule);
+      break;
+    }
+    case Method::kFlowOracle: {
+      flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
+      out.verdict = canonical_verdict(oracle.verdict);
+      out.schedule = std::move(oracle.schedule);
+      break;
+    }
+    case Method::kLocalSearch: {
+      ls::Options options = config.localsearch;
+      options.deadline = deadline;
+      ls::Result result = ls::solve(ts, platform, options);
+      out.verdict = canonical_verdict(result.status);
+      out.complete = false;  // can never prove infeasibility (§VIII)
+      out.nodes = result.stats.iterations;
+      out.schedule = std::move(result.schedule);
+      if (out.verdict != Verdict::kFeasible) {
+        out.detail = "min-conflicts gave up at cost " +
+                     std::to_string(result.stats.best_cost);
       }
-      case Method::kCsp2Generic: {
-        auto model = enc::build_csp2_generic(ts, platform,
-                                             config.csp2_generic,
-                                             config.limits);
-        const csp::SolveOutcome outcome =
-            solve_generic(*model.solver, config, deadline, out);
-        if (outcome.status == csp::SolveStatus::kSat) {
-          out.schedule = enc::decode_csp2_generic(model, outcome.assignment);
-        }
-        break;
-      }
-      case Method::kCsp2Dedicated: {
-        csp2::Options options = config.csp2;
-        options.deadline = deadline;
-        options.max_nodes = config.max_nodes;
-        csp2::Result result = csp2::solve(ts, platform, options);
-        out.verdict = canonical_verdict(result.status);
-        out.complete = result.search_complete;
-        out.nodes = result.stats.nodes;
-        out.failures = result.stats.failures;
-        out.schedule = std::move(result.schedule);
-        break;
-      }
-      case Method::kFlowOracle: {
-        flow::OracleResult oracle = flow::decide_feasibility(ts, platform);
-        out.verdict = canonical_verdict(oracle.verdict);
-        out.schedule = std::move(oracle.schedule);
-        break;
-      }
-      case Method::kLocalSearch: {
-        ls::Options options = config.localsearch;
-        options.deadline = deadline;
-        ls::Result result = ls::solve(ts, platform, options);
-        out.verdict = canonical_verdict(result.status);
-        out.complete = false;  // can never prove infeasibility (§VIII)
-        out.nodes = result.stats.iterations;
-        out.schedule = std::move(result.schedule);
-        if (out.verdict != Verdict::kFeasible) {
-          out.detail = "min-conflicts gave up at cost " +
-                       std::to_string(result.stats.best_cost);
-        }
-        break;
-      }
-      case Method::kPortfolio: {
-        // The caller's pipeline already ran its presolve stages in front of
-        // this backend; the lanes must not repeat them, and their budget is
-        // what remains of the caller's deadline, not a fresh clock.
-        SolveConfig inner = config;
-        inner.pipeline = PipelineOptions::none();
-        inner.time_limit_ms = deadline.remaining_ms();
-        PortfolioReport race = solve_portfolio(ts, platform, inner);
-        out.verdict = race.report.verdict;
-        out.complete = race.report.complete;
-        out.cause = race.report.cause;
-        out.schedule = std::move(race.report.schedule);
-        out.nodes = race.report.nodes;
-        out.failures = race.report.failures;
-        out.nogoods = race.report.nogoods;
-        out.propagators = std::move(race.report.propagators);
-        out.decided_by = std::move(race.report.decided_by);
-        out.detail =
-            race.winner >= 0
-                ? std::string("portfolio winner: ") +
-                      race.lanes[static_cast<std::size_t>(race.winner)].label
-                : std::string("portfolio: no lane decided");
-        break;
-      }
-      case Method::kEdfSimulation: {
-        sim::SimOptions options;
-        options.policy = sim::Policy::kEdf;
-        const sim::SimResult result = sim::simulate(ts, platform, options);
-        out.complete = false;  // EDF is not an optimal global policy
-        if (result.status == sim::SimStatus::kSchedulable) {
-          out.verdict = Verdict::kFeasible;
-          if (result.schedule.has_value()) {
-            out.schedule = result.schedule;
-          } else {
-            // Schedulable with a steady state longer than one hyperperiod:
-            // no compact witness to validate.
-            out.detail = "schedulable; steady state period exceeds T";
-          }
+      break;
+    }
+    case Method::kPortfolio: {
+      // The caller's pipeline already ran its presolve stages in front of
+      // this backend; the lanes must not repeat them, and their budget is
+      // what remains of the caller's deadline, not a fresh clock.
+      SolveConfig inner = config;
+      inner.pipeline = PipelineOptions::none();
+      inner.time_limit_ms = deadline.remaining_ms();
+      PortfolioReport race = solve_portfolio(ts, platform, inner);
+      out.verdict = race.report.verdict;
+      out.complete = race.report.complete;
+      out.cause = race.report.cause;
+      out.schedule = std::move(race.report.schedule);
+      out.nodes = race.report.nodes;
+      out.failures = race.report.failures;
+      out.nogoods = race.report.nogoods;
+      out.propagators = std::move(race.report.propagators);
+      out.decided_by = std::move(race.report.decided_by);
+      out.detail =
+          race.winner >= 0
+              ? std::string("portfolio winner: ") +
+                    race.lanes[static_cast<std::size_t>(race.winner)].label
+              : std::string("portfolio: no lane decided");
+      break;
+    }
+    case Method::kEdfSimulation: {
+      sim::SimOptions options;
+      options.policy = sim::Policy::kEdf;
+      const sim::SimResult result = sim::simulate(ts, platform, options);
+      out.complete = false;  // EDF is not an optimal global policy
+      if (result.status == sim::SimStatus::kSchedulable) {
+        out.verdict = Verdict::kFeasible;
+        if (result.schedule.has_value()) {
+          out.schedule = result.schedule;
         } else {
-          out.verdict = Verdict::kInfeasible;
-          out.detail = std::string("EDF ") + sim::to_string(result.status);
+          // Schedulable with a steady state longer than one hyperperiod:
+          // no compact witness to validate.
+          out.detail = "schedulable; steady state period exceeds T";
         }
-        break;
+      } else {
+        out.verdict = Verdict::kInfeasible;
+        out.detail = std::string("EDF ") + sim::to_string(result.status);
       }
+      break;
     }
   }
-
-  Method method_;
-};
+  if (out.cause == FailureCause::kNone) {
+    out.cause = infer_cause(out.verdict, deadline);
+  }
+  return out;
+}
 
 /// Witness validation shared by solve_instance and the portfolio's
 /// presolve short-circuit: re-checks any schedule with the independent
 /// validator and flags solver bugs loudly.
 void validate_report(const rt::TaskSet& ts, const rt::Platform& platform,
-                     const SolveConfig& config, SolveReport& report) {
-  if (report.schedule.has_value() && config.validate_witness) {
-    report.witness_valid =
-        rt::is_valid_schedule(ts, platform, *report.schedule);
-  } else if (report.schedule.has_value()) {
-    report.witness_valid = true;  // validation skipped by request
-  }
+                     SolveReport& report) {
+  if (!report.schedule.has_value()) return;
+  report.witness_valid = rt::is_valid_schedule(ts, platform, *report.schedule);
 
   // A "feasible" claim whose witness fails the validator is a solver bug;
   // surface it loudly in the detail string rather than silently trusting
   // it.
-  if (report.verdict == Verdict::kFeasible && report.schedule.has_value() &&
-      config.validate_witness && !report.witness_valid) {
+  if (report.verdict == Verdict::kFeasible && !report.witness_valid) {
     report.detail = "INVALID WITNESS: " +
                     rt::validate_schedule(ts, platform, *report.schedule)
                         .to_string();
@@ -309,13 +263,42 @@ SolveReport solve_instance(const rt::TaskSet& input,
   deadline.set_cancel(config.cancel);
   if (config.heartbeat) deadline.set_heartbeat(config.heartbeat);
 
-  Pipeline pipeline = make_pipeline(config.pipeline);
-  pipeline.set_backend(std::make_unique<MethodBackend>(config.method));
-  SolveReport report = to_report(pipeline.run(ts, platform, config, deadline));
+  PipelineOutcome outcome =
+      run_presolve(ts, platform, config.pipeline, deadline);
+  if (!outcome.result.decisive()) {
+    const char* name = to_string(config.method);
+    outcome.result = run_step(
+        Boundary::kBackend, name,
+        [&] {
+          return run_method(config.method, ts, platform, config, deadline);
+        },
+        outcome.stages);
+    outcome.decided_by = outcome.result.decided_by.empty()
+                             ? std::string("backend:") + name
+                             : outcome.result.decided_by;
+  }
+  SolveReport report = to_report(std::move(outcome));
   if (cloned) report.solved_tasks = ts;
 
-  validate_report(ts, platform, config, report);
+  validate_report(ts, platform, report);
   report.seconds = watch.seconds();
+  return report;
+}
+
+SolveReport solve_contained(const rt::TaskSet& ts,
+                            const rt::Platform& platform,
+                            const SolveConfig& config) {
+  support::Stopwatch watch;
+  SolveReport report;
+  if (auto failed = contain(Boundary::kSolve, "solve", [&] {
+        report = solve_instance(ts, platform, config);
+      })) {
+    report.verdict = failed->verdict;
+    report.complete = failed->complete;
+    report.cause = failed->cause;
+    report.detail = std::move(failed->detail);
+    report.seconds = watch.seconds();
+  }
   return report;
 }
 
@@ -340,12 +323,12 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // platform workloads into polynomial time.
   {
     PipelineOutcome pre =
-        make_pipeline(config.pipeline).run_stages(ts, platform, race_deadline);
+        run_presolve(ts, platform, config.pipeline, race_deadline);
     out.presolve = pre.stages;
     if (pre.result.decisive()) {
       out.report = to_report(std::move(pre));
       if (cloned) out.report.solved_tasks = ts;
-      validate_report(ts, platform, config, out.report);
+      validate_report(ts, platform, out.report);
       out.report.seconds = watch.seconds();
       out.seconds = watch.seconds();
       return out;
@@ -373,10 +356,8 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
     lane.config = lane_base;
     lane.config.method = Method::kCsp2Dedicated;
     lane.config.csp2.value_order = order;
-    if (config.portfolio.paper_faithful) {
-      lane.config.csp2.slack_prune = false;
-      lane.config.csp2.tight_demand_prune = false;
-    }
+    lane.config.csp2.slack_prune = false;
+    lane.config.csp2.tight_demand_prune = false;
     lanes.push_back(std::move(lane));
   }
 
@@ -412,8 +393,6 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
   // imports what the others published).  The pool outlives the race — the
   // parallel_for_index below joins every lane before this frame returns.
   csp::NogoodPool pool;
-  const bool share =
-      config.portfolio.share_nogoods && config.portfolio.random_lanes > 0;
   for (std::int32_t r = 0; r < config.portfolio.random_lanes; ++r) {
     Lane lane;
     lane.label = "CSP2(generic)+rand" + std::to_string(r);
@@ -429,13 +408,10 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
     lane.config.generic.nogood_max_length = config.generic.nogood_max_length;
     lane.config.generic.nogood_max_lbd = config.generic.nogood_max_lbd;
     lane.config.generic.nogood_db_limit = config.generic.nogood_db_limit;
-    if (share) {
-      lane.config.generic.nogood_pool = &pool;
-      lane.config.generic.nogood_lane = r;
-    }
+    lane.config.generic.nogood_pool = &pool;
+    lane.config.generic.nogood_lane = r;
     lane.config.limits.max_variables =
-        std::min(config.limits.max_variables,
-                 config.portfolio.random_lane_max_variables);
+        std::min(config.limits.max_variables, kRandomLaneMaxVariables);
     lanes.push_back(std::move(lane));
   }
 
@@ -512,29 +488,9 @@ PortfolioReport solve_portfolio(const rt::TaskSet& input,
                                   : config.portfolio.workers;
   support::parallel_for_index(n_lanes, workers, [&](std::size_t k) {
     started[k].store(true, std::memory_order_release);
-    try {
-      reports[k] = solve_instance(ts, platform, lanes[k].config);
-      if (decisive(reports[k].verdict, reports[k].complete)) {
-        token.cancel();  // decisive: the race is over, stop the losers
-      }
-    } catch (const FaultInjectedError& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kFaultInjected;
-      reports[k].complete = false;
-      reports[k].detail = e.what();
-    } catch (const ResourceError& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kMemory;
-      reports[k].complete = false;
-      reports[k].detail = e.what();
-    } catch (const std::exception& e) {
-      reports[k] = SolveReport{};
-      reports[k].verdict = Verdict::kUnknown;
-      reports[k].cause = FailureCause::kInternalError;
-      reports[k].complete = false;
-      reports[k].detail = std::string("lane threw: ") + e.what();
+    reports[k] = solve_contained(ts, platform, lanes[k].config);
+    if (decisive(reports[k].verdict, reports[k].complete)) {
+      token.cancel();  // decisive: the race is over, stop the losers
     }
     finished[k].store(true, std::memory_order_release);
   });
@@ -587,40 +543,6 @@ bool crash_type(FailureCause cause) {
          cause == FailureCause::kFaultInjected;
 }
 
-/// solve_instance with every escape hatch closed: whatever the run throws
-/// (ValidationError included — a batch must never lose a record) becomes a
-/// kUnknown report with cause provenance.
-SolveReport contained_solve(const BatchJob& job, const SolveConfig& config) {
-  support::Stopwatch watch;
-  try {
-    return solve_instance(job.tasks, job.platform, config);
-  } catch (const FaultInjectedError& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kFaultInjected;
-    report.complete = false;
-    report.detail = e.what();
-    report.seconds = watch.seconds();
-    return report;
-  } catch (const ResourceError& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kMemory;
-    report.complete = false;
-    report.detail = e.what();
-    report.seconds = watch.seconds();
-    return report;
-  } catch (const std::exception& e) {
-    SolveReport report;
-    report.verdict = Verdict::kUnknown;
-    report.cause = FailureCause::kInternalError;
-    report.complete = false;
-    report.detail = std::string("job threw: ") + e.what();
-    report.seconds = watch.seconds();
-    return report;
-  }
-}
-
 }  // namespace
 
 std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
@@ -635,7 +557,8 @@ std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
     const std::int32_t attempts = std::max(policy.max_attempts, 1);
     bool ever_failed = false;
     for (std::int32_t attempt = 1;; ++attempt) {
-      SolveReport report = contained_solve(jobs[k], config);
+      SolveReport report =
+          solve_contained(jobs[k].tasks, jobs[k].platform, config);
       const bool failed = crash_type(report.cause);
       if (failed) {
         ever_failed = true;
@@ -666,22 +589,12 @@ std::vector<SolveReport> solve_batch(const std::vector<BatchJob>& jobs,
         std::lock_guard lock(health_mutex);
         ++local.retries;
       }
-      if (config.time_limit_ms > 0) {
-        config.time_limit_ms = static_cast<std::int64_t>(
-            static_cast<double>(config.time_limit_ms) *
-            policy.retry_budget_multiplier);
-      }
-      if (config.max_nodes > 0) {
-        config.max_nodes = static_cast<std::int64_t>(
-            static_cast<double>(config.max_nodes) *
-            policy.retry_budget_multiplier);
-      }
-      if (policy.retry_fresh_seed) {
-        const auto salt = 0x9e3779b97f4a7c15ULL *
-                          static_cast<std::uint64_t>(attempt);
-        config.generic.seed ^= salt;
-        config.localsearch.seed ^= salt ^ 0x517cc1b727220a95ULL;
-      }
+      if (config.time_limit_ms > 0) config.time_limit_ms *= 2;
+      if (config.max_nodes > 0) config.max_nodes *= 2;
+      const auto salt =
+          0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(attempt);
+      config.generic.seed ^= salt;
+      config.localsearch.seed ^= salt ^ 0x517cc1b727220a95ULL;
     }
   });
 

@@ -25,8 +25,7 @@
 //
 // Arbitrary-deadline task sets are clone-expanded (§VI-B) transparently;
 // the report then carries the constrained clone system the schedule refers
-// to.  All feasible witnesses are re-checked by the independent validator
-// unless `validate_witness` is disabled.
+// to.  All feasible witnesses are re-checked by the independent validator.
 #pragma once
 
 #include <atomic>
@@ -63,15 +62,13 @@ enum class Method {
 /// Lane line-up knobs for Method::kPortfolio / solve_portfolio.
 struct PortfolioConfig {
   /// Randomized generic-engine lanes (CSP2-generic encoding, Choco-like
-  /// strategy, Luby restarts, nogood recording) raced alongside the four
-  /// dedicated value-order lanes.  0 disables them — right for workloads
+  /// strategy, Luby restarts, nogood recording through one shared pool,
+  /// at most 250'000 variables each so a lane cannot burn the race budget
+  /// building a model it cannot search) raced alongside the four
+  /// dedicated value-order lanes, which run exactly as §V-C describes
+  /// them (like exp::csp2_spec).  0 disables them — right for workloads
   /// whose m*T variable counts price the generic encoding out (Table IV).
   std::int32_t random_lanes = 1;
-  /// Randomized lanes publish/import nogoods through one shared pool.
-  bool share_nogoods = true;
-  /// Configure the dedicated lanes exactly as §V-C describes them (no
-  /// slack/demand pruning extensions), like exp::csp2_spec.
-  bool paper_faithful = true;
   /// Anticorrelated extra lane: CSP2+(D-C) with the slack/demand prunes ON
   /// — converts many of the paper-faithful lanes' shared timeouts into
   /// infeasibility proofs (see bench_ablation_csp2_rules).
@@ -80,9 +77,6 @@ struct PortfolioConfig {
   /// witnesses where tree search thrashes (identical platforms only; the
   /// lane is skipped elsewhere).
   bool local_search_lane = true;
-  /// Variable budget for the randomized generic lanes; keeps a lane from
-  /// burning the whole race budget building a model it cannot search.
-  std::int64_t random_lane_max_variables = 250'000;
   /// Thread fan-out for the race; 0 = one thread per lane (deliberate
   /// oversubscription: lanes share wall-clock deadlines, so racing works
   /// even on a single hardware thread).
@@ -130,9 +124,6 @@ struct SolveConfig {
   /// every cooperative poll, so an external watchdog (the portfolio's) can
   /// tell a searching run from a wedged one.
   std::shared_ptr<std::atomic<std::uint64_t>> heartbeat;
-
-  /// Re-check feasible witnesses with the independent validator.
-  bool validate_witness = true;
 };
 
 /// A Choco-like default line-up for CSP1: dom/wdeg, random value order and
@@ -149,7 +140,7 @@ struct SolveReport {
   std::optional<rt::TaskSet> solved_tasks;
 
   /// True when the witness passed the independent validator (always true
-  /// for witness-backed kFeasible results unless validation was disabled).
+  /// for witness-backed kFeasible results).
   /// Analytical stages can prove feasibility without constructing a
   /// witness (detail says which test); schedule is then absent.
   bool witness_valid = false;
@@ -191,6 +182,16 @@ struct SolveReport {
 [[nodiscard]] SolveReport solve_instance(const rt::TaskSet& ts,
                                          const rt::Platform& platform,
                                          const SolveConfig& config = {});
+
+/// solve_instance with every escape hatch closed (Boundary::kSolve): any
+/// std::exception the solve throws, ValidationError included, becomes a
+/// kUnknown, incomplete report with its cause, detail and elapsed seconds.
+/// The batch attempts, the portfolio lanes and exp::run_batch all solve
+/// through it.  Such a report carries no provenance: decided_by is empty
+/// exactly when the solve threw.
+[[nodiscard]] SolveReport solve_contained(const rt::TaskSet& ts,
+                                          const rt::Platform& platform,
+                                          const SolveConfig& config);
 
 /// Per-lane outcome of a portfolio race (losers report kTimeout once the
 /// winner cancels them — indistinguishable from a genuine budget expiry,
@@ -253,13 +254,11 @@ struct BatchPolicy {
   /// Total attempts per job (1 = no retry).  Only crash-type failures
   /// (kMemory, kInternalError, kFaultInjected) are retried; budget
   /// outcomes (deadline, node limit, cancellation) are legitimate results.
+  /// Each retry doubles the job's time_limit_ms and max_nodes (transient
+  /// memory pressure and timing races get more room) and re-derives the
+  /// generic/localsearch seeds, so a retry does not deterministically
+  /// replay the failing trajectory.
   std::int32_t max_attempts = 1;
-  /// Each retry scales the job's time_limit_ms and max_nodes by this
-  /// factor — transient memory pressure and timing races get more room.
-  double retry_budget_multiplier = 2.0;
-  /// Re-derive the generic/localsearch seeds per attempt so a retry does
-  /// not deterministically replay the failing trajectory.
-  bool retry_fresh_seed = true;
 };
 
 /// Aggregate failure accounting for one solve_batch call.
@@ -288,8 +287,7 @@ struct BatchHealth {
 /// always belongs to jobs[k] regardless of worker scheduling.
 ///
 /// Containment contract: a job is never lost and never poisons the batch.
-/// A run that throws (ValidationError included) is captured as a kUnknown
-/// report carrying its FailureCause and detail; crash-type failures are
+/// Each attempt runs through solve_contained; crash-type failures are
 /// retried per `policy` (wider budgets, fresh seeds) and jobs that exhaust
 /// every attempt are quarantined — their last contained report stands, and
 /// `health` (optional) records failures/retries/recoveries/quarantines.

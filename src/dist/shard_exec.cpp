@@ -38,13 +38,7 @@ ShardExecution execute_shard(const serve::ShardRequest& request,
     const gen::Instance inst =
         gen::generate_indexed(request.generator, request.seed, index);
 
-    exp::InstanceRecord record;
-    record.index = index;
-    record.tasks = inst.tasks.size();
-    record.processors = inst.processors;
-    record.hyperperiod = inst.tasks.hyperperiod();
-    record.ratio = inst.tasks.utilization_ratio(inst.processors);
-    record.exceeds_capacity = inst.tasks.exceeds_capacity(inst.processors);
+    exp::InstanceRecord record = exp::instance_record(index, inst);
 
     std::vector<core::BatchJob> jobs;
     jobs.reserve(specs.size());

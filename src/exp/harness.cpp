@@ -1,10 +1,8 @@
 #include "exp/harness.hpp"
 
-#include <exception>
 #include <mutex>
 
 #include "support/assert.hpp"
-#include "support/error.hpp"
 #include "support/thread_pool.hpp"
 
 namespace mgrts::exp {
@@ -41,7 +39,6 @@ SolverSpec portfolio_spec(std::int64_t time_limit_ms,
   spec.config.pipeline =
       presolve ? core::PipelineOptions::full() : core::PipelineOptions::none();
   spec.config.portfolio.random_lanes = random_lanes;
-  spec.config.portfolio.paper_faithful = true;
   spec.config.portfolio.pruned_lane = diverse_lanes;
   spec.config.portfolio.local_search_lane = diverse_lanes;
   return spec;
@@ -159,6 +156,17 @@ RunRecord record_from_report(core::SolveReport report) {
   return run;
 }
 
+InstanceRecord instance_record(std::uint64_t index, const gen::Instance& inst) {
+  InstanceRecord record;
+  record.index = index;
+  record.tasks = inst.tasks.size();
+  record.processors = inst.processors;
+  record.hyperperiod = inst.tasks.hyperperiod();
+  record.ratio = inst.tasks.utilization_ratio(inst.processors);
+  record.exceeds_capacity = inst.tasks.exceeds_capacity(inst.processors);
+  return record;
+}
+
 void reseed_for_index(core::SolveConfig& config, std::uint64_t index) {
   config.generic.seed ^= 0x9e3779b97f4a7c15ULL * (index + 1);
   config.localsearch.seed ^= 0x9e3779b97f4a7c15ULL * (index + 1);
@@ -237,22 +245,15 @@ BatchResult run_batch(const BatchOptions& options,
                          : options.indices.size();
   std::vector<gen::Instance> instances;
   instances.reserve(count);
-  result.instances.resize(count);
+  result.instances.reserve(count);
   for (std::size_t k = 0; k < count; ++k) {
     const std::uint64_t index =
         options.indices.empty() ? static_cast<std::uint64_t>(k)
                                 : options.indices[k];
     instances.push_back(
         gen::generate_indexed(options.generator, options.seed, index));
-    InstanceRecord& record = result.instances[k];
-    record.index = index;
-    const auto& inst = instances.back();
-    record.tasks = inst.tasks.size();
-    record.processors = inst.processors;
-    record.hyperperiod = inst.tasks.hyperperiod();
-    record.ratio = inst.tasks.utilization_ratio(inst.processors);
-    record.exceeds_capacity = inst.tasks.exceeds_capacity(inst.processors);
-    record.runs.resize(specs.size());
+    result.instances.push_back(instance_record(index, instances.back()));
+    result.instances.back().runs.resize(specs.size());
   }
 
   // Fan the flat (instance, solver) index space over the shared pool; each
@@ -262,12 +263,6 @@ BatchResult run_batch(const BatchOptions& options,
   // regardless of worker scheduling.  Library users with independent
   // instances should prefer core::solve_batch.
   std::mutex health_mutex;
-  const auto note_failure = [&](const char* what) {
-    std::lock_guard<std::mutex> lock(health_mutex);
-    ++result.health.failures;
-    ++result.health.quarantined;
-    if (result.health.first_error.empty()) result.health.first_error = what;
-  };
 
   const std::size_t total_runs = count * specs.size();
   support::parallel_for_index(total_runs, options.workers,
@@ -285,25 +280,15 @@ BatchResult run_batch(const BatchOptions& options,
     // an internal error) still yields its RunRecord slot — one crashed
     // (instance, solver) pair must never lose the rest of a Table IV
     // batch.  Verdict tables stay complete; the cause says why.
-    core::SolveReport report;
-    try {
-      report = core::solve_instance(
-          inst.tasks, rt::Platform::identical(inst.processors), config);
-    } catch (const FaultInjectedError& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kFaultInjected;
-      note_failure(e.what());
-    } catch (const ResourceError& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kMemory;
-      note_failure(e.what());
-    } catch (const std::exception& e) {
-      report.verdict = core::Verdict::kUnknown;
-      report.complete = false;
-      report.cause = core::FailureCause::kInternalError;
-      note_failure(e.what());
+    core::SolveReport report = core::solve_contained(
+        inst.tasks, rt::Platform::identical(inst.processors), config);
+    if (report.decided_by.empty()) {  // the solve threw
+      std::lock_guard<std::mutex> lock(health_mutex);
+      ++result.health.failures;
+      ++result.health.quarantined;
+      if (result.health.first_error.empty()) {
+        result.health.first_error = report.detail;
+      }
     }
 
     result.instances[k].runs[s] = record_from_report(std::move(report));

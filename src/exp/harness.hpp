@@ -177,6 +177,12 @@ struct InstanceRecord {
   }
 };
 
+/// The per-instance header of a record (index, shape, hyperperiod, r and
+/// the §VII-C capacity filter) with an empty run list; run_batch and the
+/// shard executor both start every row from it.
+[[nodiscard]] InstanceRecord instance_record(std::uint64_t index,
+                                             const gen::Instance& inst);
+
 struct BatchResult {
   std::vector<std::string> labels;
   std::vector<InstanceRecord> instances;
